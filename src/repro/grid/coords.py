@@ -6,25 +6,29 @@ neighbors.  :func:`grid_distance` is the closed-form distance in the
 *infinite* grid; shortest-path distance inside a finite amoebot structure
 (the induced subgraph :math:`G_X`) is generally larger and computed by the
 BFS oracle in :mod:`repro.grid.oracle`.
+
+``Node`` is a :class:`typing.NamedTuple`, so the millions of hashes and
+comparisons a solve makes run in C.  ``hash(Node(x, y)) == hash((x, y))``
+fixes the iteration order of node sets, which the pinned round totals
+and forests depend on.  A ``Node`` equals the plain pair ``(x, y)`` and
+encodes as ``[x, y]`` in JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.grid.directions import (
     Axis,
     Direction,
     DIRECTION_OFFSETS,
+    _OFFSET_DIRECTION,
     all_directions_ccw,
-    direction_between,
 )
 
 
-@dataclass(frozen=True, order=True)
-class Node:
+class Node(NamedTuple):
     """A node of the infinite triangular grid in axial coordinates."""
 
     x: int
@@ -32,8 +36,7 @@ class Node:
 
     def neighbor(self, direction: Direction) -> "Node":
         """The adjacent node one step in ``direction``."""
-        dx, dy = DIRECTION_OFFSETS[direction]
-        return Node(self.x + dx, self.y + dy)
+        return Node(self.x + _DX[direction], self.y + _DY[direction])
 
     def neighbors(self) -> List["Node"]:
         """All six adjacent nodes, in counterclockwise order from East."""
@@ -41,12 +44,14 @@ class Node:
 
     def direction_to(self, other: "Node") -> Direction:
         """Direction of the edge from ``self`` to an adjacent ``other``."""
-        return direction_between((self.x, self.y), (other.x, other.y))
+        direction = _OFFSET_DIRECTION.get((other.x - self.x, other.y - self.y))
+        if direction is None:
+            raise ValueError(f"nodes {tuple(self)} and {tuple(other)} are not adjacent")
+        return direction
 
     def is_adjacent(self, other: "Node") -> bool:
         """Whether ``other`` is one of the six grid neighbors."""
-        delta = (other.x - self.x, other.y - self.y)
-        return delta in _OFFSETS
+        return (other.x - self.x, other.y - self.y) in _OFFSET_DIRECTION
 
     def axis_coordinate(self, axis: Axis) -> int:
         """Coordinate that is *constant* along lines parallel to ``axis``.
@@ -69,15 +74,13 @@ class Node:
         """Cartesian embedding (for visualization)."""
         return (self.x + self.y / 2.0, self.y * math.sqrt(3.0) / 2.0)
 
-    def __iter__(self) -> Iterator[int]:
-        yield self.x
-        yield self.y
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Node({self.x}, {self.y})"
 
 
-_OFFSETS = frozenset(DIRECTION_OFFSETS.values())
+#: Coordinate steps indexed by ``Direction`` value (hot-path lookups).
+_DX = tuple(DIRECTION_OFFSETS[d][0] for d in Direction)
+_DY = tuple(DIRECTION_OFFSETS[d][1] for d in Direction)
 
 
 def grid_distance(u: Node, v: Node) -> int:

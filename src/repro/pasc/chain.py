@@ -10,8 +10,7 @@ two channels carrying the primary and secondary wires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction, opposite
@@ -22,12 +21,12 @@ from repro.sim.pins import PartitionSetId
 Unit = Tuple[Node, str]
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     """The physical wiring between consecutive chain units.
 
     The link occupies channels ``primary_channel`` and
     ``secondary_channel`` of the edge leaving ``src`` in ``direction``.
+    A tuple: links sit in layout-cache keys, rehashed on every lookup.
     """
 
     src: Node

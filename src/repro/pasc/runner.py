@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
+from repro.grid.coords import Node
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
@@ -237,8 +238,7 @@ def run_pasc(
                 # read this iteration's activity.
                 term_beep_idx = term_index.indices(
                     (
-                        (unit[0] if isinstance(unit, tuple) else unit,
-                         TERMINATION_LABEL)
+                        (unit if isinstance(unit, Node) else unit[0], TERMINATION_LABEL)
                         for run in runs
                         for unit in run.active_units()
                     ),
@@ -261,7 +261,7 @@ def run_pasc(
                 term_beeps: List[PartitionSetId] = []
                 for run in runs:
                     for unit in run.active_units():
-                        node = unit[0] if isinstance(unit, tuple) else unit
+                        node = unit if isinstance(unit, Node) else unit[0]
                         term_beeps.append((node, TERMINATION_LABEL))
                 term_received = engine.run_round(
                     term_layout, term_beeps, listen=(term_probe,)

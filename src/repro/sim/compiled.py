@@ -152,8 +152,7 @@ class CompiledLayout:
         "backend",
         "_adj",
         "_edges",
-        "_starts",
-        "_members",
+        "_csr",
         "_comp_sizes",
     )
 
@@ -176,8 +175,7 @@ class CompiledLayout:
         else:
             self.comp = comp
         self.n_components = n_components
-        self._starts = None
-        self._members = None
+        self._csr = None
         self._comp_sizes = None
 
     @property
@@ -204,17 +202,18 @@ class CompiledLayout:
         ``members[starts[c] : starts[c + 1]]`` are the set ids of circuit
         ``c``, ascending.  Built lazily by one counting pass (Python) or
         one stable argsort (numpy) and cached; both orders are identical
-        (members of a circuit in ascending set-id order).
+        (members of a circuit in ascending set-id order).  The pair is
+        published as one attribute: threads never see half of it.
         """
-        if self._starts is None:
+        csr = self._csr
+        if csr is None:
             comp = self.comp
             if self.backend == "numpy":
                 np = require_numpy()
                 counts = np.bincount(comp, minlength=self.n_components)
                 starts = np.zeros(self.n_components + 1, dtype=np.intp)
                 np.cumsum(counts, out=starts[1:])
-                self._starts = starts
-                self._members = np.argsort(comp, kind="stable")
+                members = np.argsort(comp, kind="stable")
             else:
                 starts = [0] * (self.n_components + 1)
                 for c in comp:
@@ -226,10 +225,8 @@ class CompiledLayout:
                 for i, c in enumerate(comp):
                     members[cursor[c]] = i
                     cursor[c] += 1
-                self._starts = starts
-                self._members = members
-        assert self._members is not None
-        return self._starts, self._members
+            csr = self._csr = (starts, members)
+        return csr
 
     # ------------------------------------------------------------------
     # round execution
@@ -280,8 +277,8 @@ class CompiledLayout:
             if self.backend == "numpy":
                 np = require_numpy()
                 sizes = np.bincount(self.comp, minlength=self.n_components)
-            elif self._starts is not None:
-                starts = self._starts
+            elif self._csr is not None:
+                starts = self._csr[0]
                 sizes = [starts[c + 1] - starts[c] for c in range(self.n_components)]
             else:
                 sizes = [0] * self.n_components

@@ -19,6 +19,9 @@ structures and random pin assignments:
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from repro.backend import numpy_or_none
 from repro.grid.coords import Node
 from repro.grid.directions import opposite
+from repro.sim import compiled as compiled_module
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
@@ -435,3 +439,80 @@ def test_numpy_backend_faulty_rounds_are_bit_identical(case, seed):
             injector.stats.missed_hears,
         )
     assert results["python"] == results["numpy"]
+
+
+# ----------------------------------------------------------------------
+# thread safety of the lazily built CSR members (daemon workers share
+# compiled layouts through the engine's LayoutCache)
+# ----------------------------------------------------------------------
+
+
+class _SlowSortNumpy:
+    """numpy with a GIL-releasing pause in ``argsort``: widens the window
+    in which a first ``members_csr()`` caller is mid-build."""
+
+    def __init__(self, np):
+        self._np = np
+
+    def __getattr__(self, name):
+        return getattr(self._np, name)
+
+    def argsort(self, *args, **kwargs):
+        time.sleep(0.01)
+        return self._np.argsort(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+)
+def test_members_csr_is_safe_under_concurrent_first_calls(backend, monkeypatch):
+    """Threads race the first ``members_csr()`` call on one compilation.
+
+    Publishing ``starts`` before ``members`` let a late thread see half
+    of the pair and fail with a bare ``AssertionError``; the slow numpy
+    ``argsort`` makes that window wide enough to hit on every run.
+    """
+    structure = random_hole_free(400, seed=3)
+    threads_n = 8
+    reference = None
+    if backend == "numpy":
+        slow_np = _SlowSortNumpy(numpy_or_none())
+        monkeypatch.setattr(compiled_module, "require_numpy", lambda: slow_np)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            engine = CircuitEngine(structure, channels=CHANNELS, backend=backend)
+            layout = engine.new_layout()
+            for node in structure.nodes:
+                # "a" sets join one structure-wide circuit; "b" sets
+                # stay singletons, so the CSR has many short slices.
+                layout.assign(node, "a", [(d, 0) for d in structure.occupied_directions(node)])
+                layout.assign(node, "b", [])
+            compiled = layout.compiled()  # fresh: members_csr() never ran
+            barrier = threading.Barrier(threads_n, timeout=30)
+            results: List[object] = [None] * threads_n
+
+            def worker(slot: int) -> None:
+                barrier.wait()
+                try:
+                    starts, members = compiled.members_csr()
+                    results[slot] = ([int(v) for v in starts], [int(v) for v in members])
+                except Exception as exc:  # reported by the assertion below
+                    results[slot] = exc
+
+            workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads_n)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in workers)
+            errors = [r for r in results if isinstance(r, Exception)]
+            assert not errors, errors
+            if reference is None:
+                reference = results[0]
+            assert all(r == reference for r in results)
+    finally:
+        sys.setswitchinterval(old_interval)
+    starts, members = reference
+    assert starts[-1] == len(members) == 2 * len(structure)

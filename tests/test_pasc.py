@@ -6,17 +6,19 @@ faithful circuit simulator.
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.coords import Node
+from repro.grid.directions import Direction
 from repro.pasc.chain import ChainLink, PascChainRun, chain_links_for_nodes
 from repro.pasc.runner import run_pasc
 from repro.pasc.tree import PascTreeRun
 from repro.sim.engine import CircuitEngine
-from repro.workloads import line_structure
+from repro.workloads import line_structure, parallelogram
 from tests.conftest import bfs_tree_adjacency
 
 
@@ -161,6 +163,86 @@ class TestChainValidation:
         run = PascChainRun([(u, str(i)) for i, u in enumerate(nodes)], links)
         with pytest.raises(ValueError):
             run.node_values()
+
+
+class TestChainLinkValue:
+    """``ChainLink`` is a tuple; layout-cache keys rely on its hash."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        link = ChainLink(Node(2, 3), Direction.NE, 0, 1)
+        assert hash(link) == hash((Node(2, 3), Direction.NE, 0, 1))
+        assert hash(link) == hash(((2, 3), 1, 0, 1))
+
+    def test_repr_keyword_construction_and_dst(self):
+        link = ChainLink(
+            src=Node(0, 0), direction=Direction.E, primary_channel=2, secondary_channel=3
+        )
+        assert link == ChainLink(Node(0, 0), Direction.E, 2, 3)
+        assert repr(link) == (
+            "ChainLink(src=Node(0, 0), direction=<Direction.E: 0>, "
+            "primary_channel=2, secondary_channel=3)"
+        )
+        assert link.dst() == Node(1, 0)
+
+    def test_pickle_and_immutability(self):
+        link = ChainLink(Node(-1, 4), Direction.SW, 0, 1)
+        back = pickle.loads(pickle.dumps(link))
+        assert back == link and type(back) is ChainLink
+        assert type(back.src) is Node
+        with pytest.raises(AttributeError):
+            link.primary_channel = 5
+
+
+class _DictPathRun:
+    """Exposes only the base run protocol, forcing run_pasc's dict path."""
+
+    def __init__(self, run):
+        self._run = run
+
+    def is_done(self):
+        return self._run.is_done()
+
+    def contribute_layout(self, layout):
+        self._run.contribute_layout(layout)
+
+    def beeps(self):
+        return self._run.beeps()
+
+    def absorb(self, received):
+        self._run.absorb(received)
+
+    def active_units(self):
+        return self._run.active_units()
+
+
+class TestUnitKinds:
+    """run_pasc tells bare-``Node`` units (trees) from ``(Node, uid)``
+    units (chains) by type, on both round paths -- a ``Node`` is itself
+    a tuple, so a structural test would beep on ``unit[0]``, the x
+    coordinate."""
+
+    @pytest.mark.parametrize("path", ["indexed", "dict"])
+    def test_tree_run_with_bare_node_units(self, path):
+        s = parallelogram(5, 3)
+        root = Node(0, 0)
+        parent = {
+            u: Node(u.x - 1, 0) if u.y == 0 else Node(u.x, u.y - 1) for u in s if u != root
+        }
+        run = PascTreeRun(root, parent)
+        assert all(type(u) is Node for u in run.active_units())
+        result = run_pasc(CircuitEngine(s), [run if path == "indexed" else _DictPathRun(run)])
+        assert (result.iterations, result.rounds) == (3, 6)
+        assert run.values() == {u: u.x + u.y for u in s}
+
+    @pytest.mark.parametrize("path", ["indexed", "dict"])
+    def test_chain_run_with_pair_units(self, path):
+        nodes = line_nodes(13)
+        weights = [1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1]
+        run = PascChainRun([(u, "c") for u in nodes], chain_links_for_nodes(nodes), weights=weights)
+        engine = CircuitEngine(line_structure(13))
+        result = run_pasc(engine, [run if path == "indexed" else _DictPathRun(run)])
+        assert (result.iterations, result.rounds) == (4, 8)
+        assert run.node_values() == {u: sum(weights[:i]) for i, u in enumerate(nodes)}
 
 
 class TestTreePasc:
