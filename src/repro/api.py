@@ -42,11 +42,13 @@ hook the library itself uses.
 
 from __future__ import annotations
 
+import gc
 import logging
 import random as _random
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -81,6 +83,49 @@ _CHURN_KINDS = ("growth", "erosion", "tunnel", "block_move", "mixed")
 EventFn = Callable[[Dict[str, object]], None]
 
 logger = logging.getLogger("repro.api")
+
+# The cyclic collector is process-global state, so the pause that cold
+# execution holds is too: one lock, one depth counter, and the collector
+# state found by the first scope to enter.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause automatic cyclic garbage collection around a cold execution.
+
+    Cold execution creates no reference cycles, so the collector can
+    only rescan the growing layout cache and find nothing.  Scopes nest
+    and overlap across threads: the first one in records
+    :func:`gc.isenabled` and disables the collector, the last one out
+    restores exactly that state (a collector the embedding application
+    had turned off stays off).  A scope that exits while others are
+    still paused runs one young-generation pass, so garbage cannot pile
+    up under continuous overlapping load.
+    """
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            overlapped = _gc_depth > 0
+            if not overlapped and _gc_was_enabled:
+                gc.enable()
+        if overlapped:
+            gc.collect(0)
+
+
+def gc_pause_depth() -> int:
+    """How many cold executions currently hold the collector paused."""
+    return _gc_depth
 
 
 class RequestError(ValueError):
@@ -540,6 +585,11 @@ class Session:
         request carries a ``deadline_s`` and no token is given, one is
         armed automatically.  Cache hits never consult the token —
         the warm path stays check-free.
+
+        The cold path runs with automatic cyclic garbage collection
+        paused (it creates no reference cycles, so the collector would
+        only rescan the layout cache); the collector's prior state is
+        restored on return or raise.  Cache hits never pause.
         """
         if not isinstance(request, SolveRequest):
             raise TypeError(
@@ -585,9 +635,10 @@ class Session:
         cache_hits0 = LAYOUT_STATS.cache_hits
         cache_misses0 = LAYOUT_STATS.cache_misses
         try:
-            return self._execute(
-                request, key, emit, started, cache_hits0, cache_misses0
-            )
+            with _gc_paused():
+                return self._execute(
+                    request, key, emit, started, cache_hits0, cache_misses0
+                )
         except Cancelled as exc:
             exc.partial.update(progress)
             exc.partial.setdefault("key", key)

@@ -176,6 +176,7 @@ class GridIndex:
         "_retired",
         "_mate_e",
         "_live",
+        "__weakref__",
     )
 
     def __init__(self, nodes: Iterable[Node]):
@@ -200,8 +201,10 @@ class GridIndex:
         self.deg = deg
         self.boundary = boundary
         #: Identity token shared along a derive chain; integer ids are
-        #: only comparable between indexes with the same root.
-        self.root: object = self
+        #: only comparable between indexes with the same root.  A plain
+        #: ``object()``, not ``self``: a self-reference would make every
+        #: index a reference cycle that only the cyclic collector frees.
+        self.root: object = object()
         #: From-scratch indexes assign ids in sorted node order, so two
         #: indexes of equal node sets agree id for id; derived indexes
         #: (stable ids + appended slots) do not have this property.

@@ -6,10 +6,10 @@ Three pieces sit here because they face *outward*:
   text exposition format 0.0.4 that both the unit tests and the CI
   scrape step run against a live daemon's ``GET /metrics`` body.
 * :func:`register_process_views` — wires the process-global stat
-  objects (``LAYOUT_STATS``, ``GRID_STATS``, backend info) onto a
-  registry as pull-model views.  Lives here (not in
-  :mod:`repro.obs.metrics`) so the metrics core stays import-free of
-  the simulator.
+  objects (``LAYOUT_STATS``, ``GRID_STATS``, backend info, the cyclic
+  garbage collector) onto a registry as pull-model views.  Lives here
+  (not in :mod:`repro.obs.metrics`) so the metrics core stays
+  import-free of the simulator.
 * :class:`MetricsSnapshotter` — a daemon thread appending one
   JSON-per-line registry snapshot at a fixed interval, which the
   solver service points into its ResultStore directory.
@@ -17,6 +17,7 @@ Three pieces sit here because they face *outward*:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -131,13 +132,30 @@ def validate_prometheus_text(text: str) -> List[str]:
     return problems
 
 
+def gc_info() -> Dict[str, object]:
+    """The cyclic garbage collector's counters, flattened for a view.
+
+    Per generation ``g``: ``gen<g>_collections``, ``gen<g>_collected``
+    and ``gen<g>_uncollectable`` from :func:`gc.get_stats`; plus
+    ``pause_depth``, the number of cold executions currently holding
+    automatic collection paused (0 when idle).
+    """
+    from repro.api import gc_pause_depth
+
+    fields: Dict[str, object] = {"pause_depth": gc_pause_depth()}
+    for generation, stats in enumerate(gc.get_stats()):
+        for name, value in stats.items():
+            fields[f"gen{generation}_{name}"] = value
+    return fields
+
+
 def register_process_views(registry: MetricsRegistry) -> MetricsRegistry:
     """Attach the process-global stat views to ``registry`` (idempotent).
 
-    ``layout_stats`` / ``grid_stats`` / ``backend`` become pull-model
-    views: the stat globals keep their attribute API and the registry
-    reads ``to_dict()`` only at collection time.  Returns the registry
-    for chaining.
+    ``layout_stats`` / ``grid_stats`` / ``backend`` / ``gc`` become
+    pull-model views: the stat globals keep their attribute API and the
+    registry reads ``to_dict()`` only at collection time.  Returns the
+    registry for chaining.
     """
     from repro.backend import backend_info
     from repro.grid.compiled import GRID_STATS
@@ -146,6 +164,7 @@ def register_process_views(registry: MetricsRegistry) -> MetricsRegistry:
     registry.register_view("layout_stats", LAYOUT_STATS.to_dict, "repro_layout")
     registry.register_view("grid_stats", GRID_STATS.to_dict, "repro_grid")
     registry.register_view("backend", backend_info, "repro_backend")
+    registry.register_view("gc", gc_info, "repro_gc")
     return registry
 
 

@@ -138,8 +138,9 @@ def portal_runs_key(
     ids canonically (sorted node order), so these keys may be shared
     across equal structures (the campaign workers' node-set-scoped
     layout cache relies on that); *derived* indexes (churn) are not
-    canonical, so their keys carry the index's root identity and never
-    collide across derive chains.  Used to key
+    canonical, so their keys carry the index's root token itself (not
+    its ``id()``, which a later chain could reuse once this one is
+    freed) and never collide across derive chains.  Used to key
     :meth:`CircuitEngine.edge_subset_layout` for portal circuits (here
     and in the propagation algorithm).
     """
@@ -147,7 +148,7 @@ def portal_runs_key(
     id_of = index.id_of
     return (
         "pruns",
-        None if index.canonical else id(index.root),
+        None if index.canonical else index.root,
         frozenset(
             (int(axis), id_of(p.representative), len(p.nodes))
             for axis, p in runs

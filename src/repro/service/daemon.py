@@ -397,7 +397,7 @@ class SolverService:
         return job
 
     def stats(self) -> dict:
-        """JSON-ready service health: jobs, caches, latencies, backend.
+        """JSON-ready service health: jobs, caches, latencies, backend, GC.
 
         Every sub-document is pulled through the metrics registry's
         views (the single collection path ``/metrics`` also renders),
@@ -425,6 +425,7 @@ class SolverService:
             "layout_stats": views["layout_stats"],
             "grid_stats": views["grid_stats"],
             "backend": views["backend"],
+            "gc": views["gc"],
             "latency": self._latency_summary(),
         }
 

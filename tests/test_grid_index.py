@@ -9,7 +9,9 @@ surviving node keeps its integer id.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,11 @@ from hypothesis import strategies as st
 from repro.dynamics.edits import StructureEditor, generate_churn
 from repro.grid.compiled import GRID_STATS, GridIndex
 from repro.grid.coords import Node
-from repro.grid.directions import Direction, all_directions_ccw
+from repro.grid.directions import Axis, Direction, all_directions_ccw
 from repro.grid.structure import AmoebotStructure
+from repro.portals.portals import Portal
+from repro.portals.primitives import portal_runs_key
+from repro.sim.engine import CircuitEngine
 from repro.workloads import random_hole_free
 
 
@@ -141,3 +146,59 @@ def test_mate_edges_rebuilt_after_derive():
     fresh = derived.mate_edges()
     e2 = derived.id_of(Node(1, 0)) * 6 + int(Direction.E)
     assert fresh[e2] == derived.id_of(Node(2, 0)) * 6 + int(Direction.W)
+
+
+# ----------------------------------------------------------------------
+# reference cycles: indexes are freed by reference counting alone
+# ----------------------------------------------------------------------
+
+LINE = [Node(x, 0) for x in range(5)]
+GROWN = LINE + [Node(5, 0)]
+
+
+def derived_line() -> AmoebotStructure:
+    """A from-scratch 5-cell line, grown by one cell through a derive."""
+    basis = AmoebotStructure(LINE)
+    basis.grid_index()
+    return AmoebotStructure.from_validated(GROWN, basis=basis, dirty=[Node(5, 0)])
+
+
+def test_indexes_are_freed_without_the_cyclic_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        structure = AmoebotStructure(LINE)
+        index = structure.grid_index()
+        index.mate_edges()
+        grown = AmoebotStructure.from_validated(
+            GROWN, basis=structure, dirty=[Node(5, 0)]
+        )
+        derived = grown.grid_index()
+        assert not derived.canonical
+        refs = [weakref.ref(index), weakref.ref(derived)]
+        del structure, index, grown, derived
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_derive_chain_shares_one_root_and_fresh_indexes_do_not():
+    index = GridIndex(LINE)
+    derived = index.derive(added=[Node(5, 0)], removed=[])
+    again = derived.derive(added=[], removed=[Node(0, 0)])
+    assert derived.root is index.root and again.root is index.root
+    assert GridIndex(LINE).root is not index.root
+
+
+def test_portal_runs_keys_never_collide_across_derive_chains():
+    def key(structure):
+        portal = Portal(Axis.X, tuple(sorted(structure.nodes)))
+        return portal_runs_key(CircuitEngine(structure), [(Axis.X, portal)])
+
+    # Canonical (from-scratch) indexes may share keys across structures.
+    assert key(AmoebotStructure(GROWN)) == key(AmoebotStructure(GROWN))
+    # Derived ids are chain-local: equal node sets, distinct keys — even
+    # once the first chain is freed and its memory could be reused.
+    first = key(derived_line())
+    assert first != key(derived_line())

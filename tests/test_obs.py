@@ -311,6 +311,18 @@ class TestProcessViews:
         assert "repro_layout_cache_hits" in text
         assert "repro_backend_info" in text
 
+    def test_gc_view_renders_and_is_idle(self):
+        registry = register_process_views(MetricsRegistry())
+        view = registry.views_dict()["gc"]
+        assert view["pause_depth"] == 0
+        for generation in range(3):
+            for name in ("collections", "collected", "uncollectable"):
+                assert isinstance(view[f"gen{generation}_{name}"], int)
+        text = registry.render_prometheus()
+        assert validate_prometheus_text(text) == []
+        assert "repro_gc_pause_depth 0" in text
+        assert "repro_gc_gen2_collections" in text
+
     def test_views_read_live_state(self):
         from repro.grid.compiled import GRID_STATS
 

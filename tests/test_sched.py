@@ -299,7 +299,9 @@ class TestMakeScheduler:
     def test_solve_spf_rejects_engine_plus_scheduler(self):
         structure = random_hole_free(10, seed=0)
         nodes = sorted(structure.nodes)
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.warns(DeprecationWarning), pytest.raises(
+            ValueError, match="not both"
+        ):
             solve_spf(
                 structure,
                 [nodes[0]],
@@ -311,9 +313,10 @@ class TestMakeScheduler:
     def test_solve_spf_scheduler_shortcut(self):
         structure = random_hole_free(20, seed=4)
         nodes = sorted(structure.nodes)
-        solution = solve_spf(
-            structure, [nodes[0]], nodes[-2:], scheduler="random:1"
-        )
+        with pytest.warns(DeprecationWarning):
+            solution = solve_spf(
+                structure, [nodes[0]], nodes[-2:], scheduler="random:1"
+            )
         plain = solve_spf(structure, [nodes[0]], nodes[-2:])
         assert solution.rounds == plain.rounds
         assert solution.activations > plain.activations

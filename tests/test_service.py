@@ -171,6 +171,7 @@ class TestHTTPEndpoints:
         stats = client.stats()
         assert stats["workers"] == 2
         assert "layout_stats" in stats and "grid_stats" in stats
+        assert "gen2_collections" in stats["gc"]
 
     def test_submit_stream_fetch_round_trip(self, daemon):
         _service, client = daemon

@@ -7,7 +7,11 @@ session's result store, and reports must survive a JSON round trip.
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -16,10 +20,13 @@ from repro.api import (
     Session,
     SolveReport,
     SolveRequest,
+    _gc_paused,
+    gc_pause_depth,
     iter_report_records,
 )
 from repro.experiments.spec import content_key
 from repro.grid.compiled import GRID_STATS
+from repro.resilience import CancellationToken, Cancelled
 from repro.sim.circuits import LAYOUT_STATS
 from repro.spf.api import solve_spf
 from repro.workloads import random_hole_free, sample_sources_destinations
@@ -186,3 +193,152 @@ class TestSessionCaching:
     def test_run_rejects_non_requests(self):
         with pytest.raises(TypeError, match="SolveRequest"):
             Session().run({"shape": "hexagon:2"})
+
+
+class TestCollectorPause:
+    """Cold execution pauses the cyclic collector and restores it exactly."""
+
+    REQUEST = SolveRequest(shape="random:40:1", k=1, l=2, seed=1)
+
+    def test_collector_restored_after_cold_and_cached_runs(self):
+        assert gc.isenabled()
+        session = Session()
+        paused = {}
+        session.run(
+            self.REQUEST,
+            on_event=lambda e: paused.setdefault(e["event"], not gc.isenabled()),
+        )
+        # "start" is emitted before execution; the rest runs paused.
+        assert paused.pop("start") is False
+        assert paused and all(paused.values()), paused
+        assert gc.isenabled()
+        hits = []
+        report = session.run(
+            self.REQUEST, on_event=lambda e: hits.append(gc.isenabled())
+        )
+        assert report.cached
+        assert hits == [True]  # cache hits never pause
+        assert gc.isenabled() and gc_pause_depth() == 0
+
+    def test_collector_restored_after_a_run_that_raises(self):
+        token = CancellationToken()
+        token.cancel("caller went away")
+        with pytest.raises(Cancelled):
+            Session().run(self.REQUEST, token=token)
+        assert gc.isenabled() and gc_pause_depth() == 0
+        # Tripped inside the paused cold path, not before it.
+        token = CancellationToken()
+
+        def trip(event):
+            if event["event"] == "structure":
+                assert not gc.isenabled()
+                token.cancel("mid-run")
+
+        with pytest.raises(Cancelled, match="mid-run"):
+            Session().run(self.REQUEST, token=token, on_event=trip)
+        assert gc.isenabled() and gc_pause_depth() == 0
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            Session().run(self.REQUEST)
+            assert not gc.isenabled()
+            assert gc_pause_depth() == 0
+        finally:
+            gc.enable()
+
+    def test_overlapping_exit_collects_young_generation_only(self):
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            with _gc_paused():
+                with _gc_paused():
+                    assert gc_pause_depth() == 2
+                assert generations == [0]  # the overlapping exit
+                assert not gc.isenabled() and gc_pause_depth() == 1
+            assert generations == [0]  # the last exit only restores
+            assert gc.isenabled() and gc_pause_depth() == 0
+        finally:
+            gc.callbacks.remove(record)
+
+    def test_concurrent_runs_share_one_pause(self):
+        requests = [
+            SolveRequest(shape=f"random:40:{i}", k=1, l=2, seed=i) for i in range(8)
+        ]
+        expected = [Session().run(r).rounds for r in requests]
+        session = Session()
+        barrier = threading.Barrier(len(requests))
+        rounds = [None] * len(requests)
+        errors = []
+
+        def work(i):
+            try:
+                barrier.wait()
+                rounds[i] = session.run(requests[i]).rounds
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(len(requests))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert rounds == expected
+        assert gc.isenabled() and gc_pause_depth() == 0
+
+
+class TestNoReferenceCycles:
+    """The premise of the pause: a cold request leaves no cyclic garbage.
+
+    While the collector is paused, any reference cycle a request builds
+    survives until the pause ends, so a per-round cycle would grow
+    memory silently.  Each request kind must leave nothing behind for
+    the collector to find.
+    """
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            SolveRequest(shape="random:60:3", k=3, l=4, seed=1),
+            SolveRequest(shape="random:60:3", k=1, l=1, seed=2),
+            SolveRequest(kind="route", shape="random:60:3", k=1, l=3, seed=1),
+            SolveRequest(shape="random:40:2", k=1, l=3, seed=1, scheduler="random:1"),
+            SolveRequest(
+                kind="churn", shape="random:60:3", k=1, l=3, seed=1,
+                churn="mixed", churn_steps=3,
+            ),
+        ],
+        ids=["forest", "spsp", "route", "scheduler", "churn"],
+    )
+    def test_cold_request_leaves_no_cyclic_garbage(self, request_):
+        Session().run(request_)  # warm-up: one-time imports are not per request
+        debug = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            Session().run(request_)
+            gc.set_debug(debug | gc.DEBUG_SAVEALL)
+            found = gc.collect()
+            garbage = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(debug)
+            gc.enable()
+        assert found == 0, (
+            f"cold {request_.kind} request left {found} objects in reference "
+            f"cycles: {garbage.most_common(10)}"
+        )
