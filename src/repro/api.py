@@ -101,9 +101,9 @@ def _gc_paused() -> Iterator[None]:
     and overlap across threads: the first one in records
     :func:`gc.isenabled` and disables the collector, the last one out
     restores exactly that state (a collector the embedding application
-    had turned off stays off).  A scope that exits while others are
-    still paused runs one young-generation pass, so garbage cannot pile
-    up under continuous overlapping load.
+    had turned off stays off).  Cyclic garbage made outside cold
+    execution (daemon bookkeeping, for one) waits until no cold
+    execution is in flight.
     """
     global _gc_depth, _gc_was_enabled
     with _gc_lock:
@@ -116,11 +116,8 @@ def _gc_paused() -> Iterator[None]:
     finally:
         with _gc_lock:
             _gc_depth -= 1
-            overlapped = _gc_depth > 0
-            if not overlapped and _gc_was_enabled:
+            if _gc_depth == 0 and _gc_was_enabled:
                 gc.enable()
-        if overlapped:
-            gc.collect(0)
 
 
 def gc_pause_depth() -> int:

@@ -651,14 +651,9 @@ class CampaignRunner:
                 initializer=_set_trace_dir,
                 initargs=(self.trace_dir,),
             ) as pool:
-                futures = {}
-                try:
-                    for trial in batch:
-                        futures[pool.submit(self.trial_fn, trial)] = trial
-                except BrokenProcessPool:
-                    # A worker died before the batch was fully submitted;
-                    # what was not submitted stays unsettled below.
-                    broke = True
+                futures = {
+                    pool.submit(self.trial_fn, trial): trial for trial in batch
+                }
                 for future in as_completed(futures):
                     trial = futures[future]
                     try:

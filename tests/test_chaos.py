@@ -94,39 +94,6 @@ class TestWorkerCrashRecovery:
             assert store.get(record["key"])["record"] == QUARANTINE_RECORD
         assert report.total == 50
 
-    def test_pool_breaking_mid_submission_is_recovered(self, tmp_path, monkeypatch):
-        """A worker can die while the batch is still being submitted, so
-        ``submit`` itself raises BrokenProcessPool; that must take the
-        isolation path like a broken result, not escape the runner."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.experiments.runner as runner_module
-
-        pools = []
-
-        class BreaksOnFourthSubmit(runner_module.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.submitted = 0
-                pools.append(self)
-
-            def submit(self, fn, /, *args, **kwargs):
-                if self is pools[0] and self.submitted == 3:
-                    raise BrokenProcessPool("worker died mid-submission")
-                self.submitted += 1
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnFourthSubmit)
-        runner = CampaignRunner(
-            store=ResultStore(tmp_path / "results.jsonl"),
-            workers=2,
-            retry=FAST_RETRY,
-        )
-        report = runner.run(drill_campaign(6), resume=False)
-        assert len(report.results) == 6
-        assert report.quarantined == []
-        assert len(pools) == 1 + 3  # the broken pool, then one per unsettled trial
-
     def test_transient_crashes_recover_everything(self, tmp_path, monkeypatch):
         campaign = drill_campaign(6)
         trials = campaign.trials()
