@@ -25,6 +25,8 @@ never changes behavior.  Selection is explicit at three levels:
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -72,6 +74,11 @@ def require_numpy():
     return np
 
 
+def _auto(numpy_available: bool) -> str:
+    """What ``"auto"`` resolves to."""
+    return "numpy" if numpy_available else "python"
+
+
 def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a backend request to ``"python"`` or ``"numpy"``.
 
@@ -83,7 +90,7 @@ def resolve_backend(name: Optional[str] = None) -> str:
     if name is None:
         name = _default_backend
     if name == "auto":
-        return "numpy" if numpy_or_none() is not None else "python"
+        return _auto(numpy_or_none() is not None)
     if name == "python":
         return "python"
     if name == "numpy":
@@ -117,13 +124,22 @@ def backend_info() -> dict:
     """Observability snapshot of the backend configuration.
 
     Reported by ``repro serve``'s ``/stats`` endpoint and usable from
-    tests: the requested process default, what it currently resolves
-    to, and whether numpy is importable.
+    tests: the requested process default, what it resolves to, whether
+    numpy is available, and whether numpy is loaded in this process.
+    Reading it never imports numpy.  Until the first numpy use probes
+    the import, ``numpy`` (and an ``"auto"`` ``resolved``) means
+    *installed*: a numpy that is installed but fails to import shows as
+    available until then.
     """
+    if _numpy_module is _UNRESOLVED:
+        numpy = importlib.util.find_spec("numpy") is not None
+    else:
+        numpy = _numpy_module is not None
     return {
         "default": _default_backend,
-        "resolved": resolve_backend(None),
-        "numpy": numpy_or_none() is not None,
+        "resolved": _auto(numpy) if _default_backend == "auto" else _default_backend,
+        "numpy": numpy,
+        "numpy_loaded": "numpy" in sys.modules,
     }
 
 

@@ -651,9 +651,16 @@ class CampaignRunner:
                 initializer=_set_trace_dir,
                 initargs=(self.trace_dir,),
             ) as pool:
-                futures = {
-                    pool.submit(self.trial_fn, trial): trial for trial in batch
-                }
+                futures = {}
+                for trial in batch:
+                    try:
+                        futures[pool.submit(self.trial_fn, trial)] = trial
+                    except BrokenProcessPool:
+                        # A worker died mid-submission: the rest of the
+                        # batch was never submitted.
+                        broke = True
+                        break
+                submitted = {t.key() for t in futures.values()}
                 for future in as_completed(futures):
                     trial = futures[future]
                     try:
@@ -682,8 +689,9 @@ class CampaignRunner:
             if not broke:
                 continue
             # Isolation pass over everything the broken pool left
-            # unsettled.  Each run here is a re-execution (the trial was
-            # already submitted once), hence counts as a retry.
+            # unsettled.  For a trial the pool accepted, the run here is
+            # a re-execution and counts as a retry; a trial the pool
+            # broke before accepting runs here for the first time.
             unsettled = [t for t in batch if t.key() not in settled]
             logger.warning(
                 "worker pool broke; isolating %d unsettled trials",
@@ -692,7 +700,8 @@ class CampaignRunner:
             for trial in unsettled:
                 if token is not None:
                     token.check(trials_done=done)
-                retries += 1
+                if trial.key() in submitted:
+                    retries += 1
                 try:
                     with ProcessPoolExecutor(
                         max_workers=1,
@@ -709,6 +718,7 @@ class CampaignRunner:
                             self._quarantine(trial, exc, failures[trial.key()])
                         )
                     else:
+                        retries += 1
                         time.sleep(self._retry_delay(failures[trial.key()]))
                         pending.append(trial)
                     continue

@@ -13,11 +13,9 @@ The same move keeps the matching inner loop of slowmatch-style
 implementations out of object-graph traversal: hash each object exactly
 once into an index, then run the hot loop over flat integers.  Since
 the grid-index refactor the layouts themselves keep their pin tables in
-integer space, so the standard lowering (:func:`compile_wiring_ids`)
-never hashes a tuple at all — pin mates resolve through the grid
-index's mirror-edge table; :func:`compile_wiring` remains as the
-tuple-keyed reference implementation the equivalence tests compare
-against.
+integer space, so the lowering (:func:`compile_wiring_ids`) never
+hashes a tuple at all — pin mates resolve through the grid index's
+mirror-edge table.
 
 **Backends.**  The integer tables admit two traversal strategies
 (:mod:`repro.backend`).  Under ``backend="python"`` every pass is a
@@ -45,7 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend import require_numpy, resolve_backend
 from repro.sim.errors import PinConfigurationError
-from repro.sim.pins import PartitionSetId, Pin
+from repro.sim.pins import PartitionSetId
 
 
 class PartitionSetIndex:
@@ -307,34 +305,6 @@ class CompiledLayout:
 # ----------------------------------------------------------------------
 
 
-def compile_wiring(
-    sets: Iterable[PartitionSetId],
-    pin_owner: Mapping[Pin, PartitionSetId],
-    index: Optional[PartitionSetIndex] = None,
-) -> CompiledLayout:
-    """Lower a tuple-keyed wiring to a :class:`CompiledLayout`.
-
-    Legacy/reference surface: hashes every set and pin exactly once.
-    Layout freezing no longer routes through here — layouts keep their
-    pin tables in integer space from construction on and compile via
-    :func:`compile_wiring_ids` without any tuple hashing — but the
-    function stays as the independent reference the equivalence tests
-    compare the integer path against.  ``index`` may carry a pre-built
-    partition-set index to keep integer ids stable.
-    """
-    if index is None:
-        index = PartitionSetIndex(sets)
-    pos = index._pos
-    adj: List[List[int]] = [[] for _ in range(len(index))]
-    get = pin_owner.get
-    for pin, owner in pin_owner.items():
-        mate_owner = get(pin.mate())
-        if mate_owner is not None:
-            adj[pos[owner]].append(pos[mate_owner])
-    comp, n_components = _connected_components(adj)
-    return CompiledLayout(index, adj, comp, n_components)
-
-
 def compile_wiring_ids(
     ids: Iterable[PartitionSetId],
     pin_slot: Mapping[int, int],
@@ -449,53 +419,20 @@ def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
     return comp, n_components
 
 
-def _scipy_connected_components():
-    """The scipy csgraph labeler, or ``None`` when scipy is absent.
-
-    :func:`scipy.sparse.csgraph.connected_components` scans vertices in
-    index order and labels each newly met component with the next dense
-    id, so its labels are exactly the ascending first-member order the
-    Python union-find produces — no relabeling needed for bit-identity.
-    """
-    try:
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - exercised on scipy-free installs
-        return None
-
-    def labeler(size, src, dst, np):
-        graph = csr_array(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(size, size)
-        )
-        n_components, labels = connected_components(
-            graph, directed=True, connection="weak"
-        )
-        return labels.astype(np.intp, copy=False), int(n_components)
-
-    return labeler
-
-
-_SCIPY_CC = _scipy_connected_components()
-
-
 def _connected_components_np(size: int, src, dst, np):
     """Vectorized component labels over flat edge arrays.
 
-    Prefers scipy's compiled csgraph labeler (its vertex-scan order
-    makes the labels bit-identical to the union-find's — see
-    :func:`_scipy_connected_components`); falls back to pure-numpy
-    min-label hooking with pointer jumping (Shiloach–Vishkin style):
-    every node starts as its own label; each sweep hooks the larger
-    root of every edge onto the smaller and then flattens the pointer
-    forest by repeated ``label[label]`` squaring, so the sweep count is
-    logarithmic in the largest component diameter.  Labels only ever
-    decrease and ``label[i] <= i`` is invariant, so the fixpoint label
-    of every component is its *minimal member index* — relabeling by
-    sorted unique values therefore assigns exactly the same dense
-    labels as the Python union-find's ascending first-member scan.
+    Pure-numpy min-label hooking with pointer jumping, Shiloach–Vishkin
+    style: every node starts as its own label; each sweep hooks the
+    larger root of every edge onto the smaller and then flattens the
+    pointer forest by repeated ``label[label]`` squaring, so the sweep
+    count is logarithmic in the largest component diameter.
+    Labels only ever decrease and ``label[i] <= i`` is invariant, so the
+    fixpoint label of every component is its *minimal member index* —
+    relabeling by sorted unique values therefore assigns exactly the
+    same dense labels as the Python union-find's ascending first-member
+    scan.
     """
-    if _SCIPY_CC is not None and src.size:
-        return _SCIPY_CC(size, src, dst, np)
     label = np.arange(size, dtype=np.intp)
     if src.size:
         while True:
@@ -621,7 +558,6 @@ def recompile_derived(
 __all__ = [
     "CompiledLayout",
     "PartitionSetIndex",
-    "compile_wiring",
     "compile_wiring_ids",
     "recompile_derived",
     "resolve_backend",

@@ -165,6 +165,89 @@ class TestWorkerCrashRecovery:
         assert second.executed == 1
 
 
+    @pytest.mark.parametrize(
+        "solo_raises, retries",
+        [((), 2), ((0, 3), 4)],
+        ids=["solo-runs-succeed", "solo-runs-raise-once"],
+    )
+    def test_pool_breaking_mid_submission_is_recovered(
+        self, tmp_path, monkeypatch, solo_raises, retries
+    ):
+        """A worker dying while the batch is still being submitted: the
+        third ``submit`` raises ``BrokenProcessPool``.  Every trial still
+        completes.  The two trials the pool had accepted are charged a
+        retry for their isolation run; the four it never accepted run
+        there for the first time, uncharged.  A solo run that raises
+        sends its trial back to the next batch, one more retry each:
+        trial 0 (accepted) then costs two, trial 3 (never accepted)
+        one."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.experiments import runner as runner_module
+
+        class BreaksOnThirdSubmit:
+            """Inline stand-in for ``ProcessPoolExecutor``.  The first
+            multi-worker pool accepts two trials without running them,
+            then breaks on the third ``submit``, failing both accepted
+            futures as a real broken pool does.  Other pools run each
+            trial at submission."""
+
+            broken_once = False
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                self.doomed = max_workers > 1 and not type(self).broken_once
+                self.accepted = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                if not self.doomed:
+                    try:
+                        future.set_result(fn(*args))
+                    except Exception as exc:  # noqa: BLE001
+                        future.set_exception(exc)
+                    return future
+                if len(self.accepted) == 2:
+                    type(self).broken_once = True
+                    for accepted in self.accepted:
+                        accepted.set_exception(BrokenProcessPool("worker died"))
+                    raise BrokenProcessPool("worker died")
+                self.accepted.append(future)
+                return future
+
+        campaign = drill_campaign(6)
+        trials = campaign.trials()
+        flaky = {trials[i].key() for i in solo_raises}
+        runs = []
+
+        def raises_on_first_run(trial):
+            # The doomed pool runs nothing, so a trial's first run is
+            # its isolation run.
+            runs.append(trial.key())
+            if trial.key() in flaky and runs.count(trial.key()) == 1:
+                raise RuntimeError("transient failure")
+            return runner_module.execute_trial(trial)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+        report = CampaignRunner(
+            store=ResultStore(tmp_path / "results.jsonl"),
+            workers=2,
+            retry=FAST_RETRY,
+            trial_fn=raises_on_first_run,
+        ).run(campaign, resume=False)
+        assert BreaksOnThirdSubmit.broken_once
+        assert len(report.results) == 6
+        assert report.quarantined == []
+        assert report.retries == retries
+        assert len(runs) == 6 + len(flaky)
+
+
 class TestDaemonUnderChaos:
     def test_flaky_store_degrades_caching_not_jobs(self):
         store = FlakyStore(fail_every=2)

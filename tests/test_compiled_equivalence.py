@@ -14,15 +14,18 @@ structures and random pin assignments:
 * error paths (beeping or listening on undeclared sets), and
 * incremental recompilation after ``derive``/``reassign``/
   ``exchange_pins`` re-wiring versus a from-scratch build of the same
-  wiring.
+  wiring, and
+* the numpy backend's circuit labels on graphs of 10^4-10^5 edges
+  (random circuits, a long path, the global layout of ``random:3000``).
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 import time
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +36,10 @@ from repro.grid.coords import Node
 from repro.grid.directions import opposite
 from repro.sim import compiled as compiled_module
 from repro.sim.circuits import CircuitLayout
+from repro.sim.compiled import CompiledLayout, PartitionSetIndex
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
+from repro.sim.pins import PartitionSetId, Pin
 from repro.workloads.random_structures import random_hole_free
 
 CHANNELS = 3
@@ -78,6 +83,29 @@ def reference_components(
                     queue.append(nxt)
         label += 1
     return component
+
+
+def compile_wiring(
+    sets: Iterable[PartitionSetId],
+    pin_owner: Mapping[Pin, PartitionSetId],
+) -> CompiledLayout:
+    """Tuple-keyed reference lowering of a wiring to a :class:`CompiledLayout`.
+
+    Hashes every set and pin once and resolves mates through
+    :meth:`Pin.mate`, so it shares no mate-resolution code with the
+    integer lowering (:func:`~repro.sim.compiled.compile_wiring_ids`)
+    it is compared against.
+    """
+    index = PartitionSetIndex(sets)
+    pos = index._pos
+    adj: List[List[int]] = [[] for _ in range(len(index))]
+    get = pin_owner.get
+    for pin, owner in pin_owner.items():
+        mate_owner = get(pin.mate())
+        if mate_owner is not None:
+            adj[pos[owner]].append(pos[mate_owner])
+    comp, n_components = compiled_module._connected_components(adj)
+    return CompiledLayout(index, adj, comp, n_components)
 
 
 def reference_round(
@@ -152,11 +180,9 @@ def round_cases(draw):
 @given(case=round_cases())
 def test_integer_lowering_matches_tuple_reference(case):
     # The layout lowers through compile_wiring_ids (integer pins, grid
-    # index mirror-edge mates); compile_wiring is the retained
-    # tuple-keyed reference lowering.  Both must produce the same
-    # circuits, up to component renumbering.
-    from repro.sim.compiled import compile_wiring
-
+    # index mirror-edge mates); compile_wiring above is the tuple-keyed
+    # reference lowering.  Both must produce the same circuits, up to
+    # component renumbering.
     structure, pins_of, _beeps, _listen = case
     engine = CircuitEngine(structure, channels=CHANNELS)
     layout = apply_assignment(engine, pins_of)
@@ -516,3 +542,80 @@ def test_members_csr_is_safe_under_concurrent_first_calls(backend, monkeypatch):
         sys.setswitchinterval(old_interval)
     starts, members = reference
     assert starts[-1] == len(members) == 2 * len(structure)
+
+
+# ----------------------------------------------------------------------
+# numpy labeling at scale: min-label hooking must give the union-find's
+# labels on graphs far larger than the round tests' layouts, including
+# a long path, whose diameter sets the number of hooking sweeps
+# ----------------------------------------------------------------------
+
+
+def _both_directions(a, b):
+    np = numpy_or_none()
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    return np.concatenate([a, b]), np.concatenate([b, a])
+
+
+def _random_graph(entries: int, seed: int):
+    """``entries // 2`` random links over ``entries // 2`` sets, both
+    directions: a giant circuit plus many small ones and singletons."""
+    rng = numpy_or_none().random.default_rng(seed)
+    links = entries // 2
+    return (links, *_both_directions(*rng.integers(0, links, size=(2, links))))
+
+
+def _shuffled_path(links: int, seed: int):
+    """One long path over shuffled set ids (a PASC chain's shape)."""
+    order = numpy_or_none().random.default_rng(seed).permutation(links + 1)
+    return (links + 1, *_both_directions(order[:-1], order[1:]))
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(lambda: _random_graph(16382, seed=1), id="random-16k"),
+        pytest.param(lambda: _random_graph(100000, seed=2), id="random-100k"),
+        pytest.param(lambda: _shuffled_path(49152, seed=4), id="long-path"),
+    ],
+)
+def test_large_graph_labels_match_union_find(graph):
+    size, src, dst = graph()
+    adj: List[List[int]] = [[] for _ in range(size)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        adj[a].append(b)
+    expected, expected_count = compiled_module._connected_components(adj)
+
+    labels, count = compiled_module._connected_components_np(
+        size, src, dst, numpy_or_none()
+    )
+    assert labels.tolist() == expected
+    assert count == expected_count
+
+
+@requires_numpy
+def test_large_global_layout_matches_python_backend():
+    """The global circuit plus a random two-way split of every node's
+    pins, on ``random:3000``."""
+    from repro.workloads import build_structure
+
+    structure = build_structure("random:3000:5")
+    rng = random.Random(5)
+    split = {}
+    for node in structure.nodes:
+        directions = list(structure.occupied_directions(node))
+        rng.shuffle(directions)
+        split[node] = directions[: len(directions) // 2], directions[len(directions) // 2 :]
+    compiled = {}
+    for backend in ("python", "numpy"):
+        layout = CircuitEngine(structure, channels=2, backend=backend).new_layout()
+        layout.assign_global("g", 0)
+        for node, (first, second) in split.items():
+            layout.assign(node, "a", [(d, 1) for d in first])
+            layout.assign(node, "b", [(d, 1) for d in second])
+        compiled[backend] = layout.compiled()
+    assert [int(c) for c in compiled["numpy"].comp] == list(compiled["python"].comp)
+    assert compiled["numpy"].n_components == compiled["python"].n_components
+    assert compiled["python"].n_components > 1
